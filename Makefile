@@ -10,21 +10,26 @@ STATICCHECK_VERSION ?= 2023.1.7
 # everything, race-enabled tests.
 check: vet vet-reed build race
 
+# vet covers the main module and the nested reedbench module (a module
+# of its own, so ./... at the root does not reach it).
 vet:
 	$(GO) vet ./...
+	cd reedbench && $(GO) vet ./...
 
 # vet-reed runs the project's own static-analysis suite (tools/reed-vet):
 # key-material hygiene, context-first APIs, lock-scope discipline, metric
 # naming, retry-path error classification, buffer-pool lifecycle,
 # durability-before-ack ordering, idempotency-table agreement, and
 # secret zeroization. See DESIGN.md "Static analysis". Exits non-zero
-# on any diagnostic. The suite then self-hosts: the analyzers run over
-# their own module too, so the tool is held to the invariants it
-# enforces. Set VET_SARIF=<repo-relative path> to also write a SARIF
-# 2.1.0 log for the main-module run (CI uploads it as an artifact).
+# on any diagnostic. The analyzers also run over the nested reedbench
+# module, and the suite then self-hosts: the analyzers run over their
+# own module too, so the tool is held to the invariants it enforces.
+# Set VET_SARIF=<repo-relative path> to also write a SARIF 2.1.0 log
+# for the main-module run (CI uploads it as an artifact).
 VET_SARIF ?=
 vet-reed:
 	cd tools/reed-vet && $(GO) run . -dir ../.. $(if $(VET_SARIF),-sarif ../../$(VET_SARIF)) ./...
+	cd tools/reed-vet && $(GO) run . -dir ../../reedbench ./...
 	cd tools/reed-vet && $(GO) run . -dir . ./...
 
 # vet-reed-test runs the analyzer suite's own tests: golden-file fixture
@@ -83,7 +88,9 @@ chaos:
 crash-recovery:
 	@sh scripts/crash_recovery.sh
 
-# fmt-check fails if any file needs gofmt.
+# fmt-check fails if any file needs gofmt. gofmt walks every
+# directory, so the nested reedbench and tools/reed-vet modules are
+# covered too.
 fmt-check:
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then \

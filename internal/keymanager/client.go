@@ -142,7 +142,7 @@ func Dial(ctx context.Context, addr string, opts ...ClientOption) (*Client, erro
 	}
 	redial := func() (net.Conn, error) { return dial(addr) }
 	c := &Client{
-		mux:       rpcmux.NewRedialer(conn, redial, 256<<10, 256<<10, cfg.retry),
+		mux:       rpcmux.NewRedialer(conn, redial, cfg.retry),
 		batchSize: cfg.batchSize,
 		cache:     cfg.cache,
 	}

@@ -13,7 +13,6 @@ package keymanager
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -42,12 +41,16 @@ const DefaultWorkers = 4
 
 // Server is the key manager process.
 type Server struct {
-	key      *oprf.ServerKey
-	params   []byte // marshaled public params
-	rate     float64
-	burst    float64
-	workers  int
-	limiters sync.Map // remote host -> *ratelimit.Limiter
+	key     *oprf.ServerKey
+	params  []byte // marshaled public params
+	rate    float64
+	burst   float64
+	workers int
+
+	// limMu guards the per-host token buckets (see limiterFor).
+	limMu    sync.Mutex
+	limiters map[string]*hostLimiter // remote host -> bucket
+	sweepAt  int                     // table size that triggers the next sweep
 
 	// baseCtx is the server's lifecycle context: rate-limit waits and
 	// other blocking work inside request handlers select on it so
@@ -109,10 +112,12 @@ func WithMetrics(reg *metrics.Registry) ServerOption { return metricsOption{reg}
 // NewServer returns a key manager serving the given OPRF key.
 func NewServer(key *oprf.ServerKey, opts ...ServerOption) *Server {
 	s := &Server{
-		key:     key,
-		params:  key.PublicParams().Marshal(),
-		workers: DefaultWorkers,
-		conns:   make(map[net.Conn]struct{}),
+		key:      key,
+		params:   key.PublicParams().Marshal(),
+		workers:  DefaultWorkers,
+		conns:    make(map[net.Conn]struct{}),
+		limiters: make(map[string]*hostLimiter),
+		sweepAt:  minLimiterSweep,
 	}
 	//reed-vet:ignore ctxrule — the server's lifecycle root, canceled by Shutdown.
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
@@ -133,12 +138,15 @@ func NewServer(key *oprf.ServerKey, opts ...ServerOption) *Server {
 }
 
 // Serve accepts connections on ln until Shutdown. It always returns a
-// non-nil error; after Shutdown the error is net.ErrClosed.
+// non-nil error; after Shutdown the error is net.ErrClosed. Serve on a
+// server already shut down closes ln at once, so a Shutdown that wins
+// the race with Serve's start still stops the listener.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.shutdown {
 		s.mu.Unlock()
-		return errors.New("keymanager: server already shut down")
+		ln.Close()
+		return net.ErrClosed
 	}
 	s.ln = ln
 	s.mu.Unlock()
@@ -226,9 +234,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.connsGauge.Dec()
 	}()
 
-	limiter := s.limiterFor(conn)
-	br := bufio.NewReaderSize(conn, 256<<10)
-	bw := bufio.NewWriterSize(conn, 256<<10)
+	limiter, release := s.limiterFor(remoteHost(conn))
+	defer release()
+	br := bufio.NewReaderSize(conn, proto.ConnBufferSize)
+	fw := proto.NewFrameWriter(conn)
 
 	respCh := make(chan outFrame, s.workers)
 	writerDone := make(chan struct{})
@@ -239,8 +248,8 @@ func (s *Server) handleConn(conn net.Conn) {
 			if werr != nil {
 				continue // drain so handlers never block on a dead writer
 			}
-			if werr = proto.WriteFrame(bw, f.typ, f.id, f.payload); werr == nil && len(respCh) == 0 {
-				werr = bw.Flush()
+			if werr = fw.WriteFrame(f.typ, f.id, f.payload); werr == nil && len(respCh) == 0 {
+				werr = fw.Flush()
 			}
 			if werr != nil {
 				conn.Close() // unblock the read loop
@@ -378,25 +387,78 @@ func (s *Server) evaluateBatch(blinded [][]byte) ([][]byte, error) {
 	return responses, nil
 }
 
-// limiterFor returns the per-remote-host limiter, creating it on first
-// use. Returns nil when rate limiting is disabled.
-func (s *Server) limiterFor(conn net.Conn) *ratelimit.Limiter {
+// minLimiterSweep is the smallest bucket table that triggers a sweep.
+const minLimiterSweep = 64
+
+// hostLimiter is one remote host's token bucket and the number of its
+// connections open now.
+type hostLimiter struct {
+	lim   *ratelimit.Limiter
+	conns int
+}
+
+// remoteHost is the rate-limit identity of a connection: its peer's
+// host, without the port.
+func remoteHost(conn net.Conn) string {
+	addr := conn.RemoteAddr().String()
+	host, _, err := net.SplitHostPort(addr)
+	if err != nil {
+		return addr
+	}
+	return host
+}
+
+// limiterFor returns host's token bucket, creating it on first use, and
+// the release its connection must call when it closes. The limiter is
+// nil when rate limiting is disabled.
+//
+// A bucket is dropped once its host has no connection open and the
+// bucket is full: a returning host then gets a fresh full bucket, which
+// is exactly the state it lost, so eviction never loosens the limit. A
+// bucket still refilling when its host's last connection closes stays
+// until a sweep finds it full; a sweep runs whenever the table has
+// doubled since the last one, so the table stays within twice the
+// hosts that are connected or refilling, at O(1) amortized cost per
+// new host.
+func (s *Server) limiterFor(host string) (*ratelimit.Limiter, func()) {
 	if s.rate <= 0 {
-		return nil
+		return nil, func() {}
 	}
-	host, _, err := net.SplitHostPort(conn.RemoteAddr().String())
-	if err != nil {
-		host = conn.RemoteAddr().String()
+	s.limMu.Lock()
+	defer s.limMu.Unlock()
+	h, ok := s.limiters[host]
+	if !ok {
+		lim, err := ratelimit.New(s.rate, s.burst)
+		if err != nil {
+			return nil, func() {}
+		}
+		if len(s.limiters) >= s.sweepAt {
+			s.sweepLocked()
+		}
+		h = &hostLimiter{lim: lim}
+		s.limiters[host] = h
 	}
-	if l, ok := s.limiters.Load(host); ok {
-		lim, _ := l.(*ratelimit.Limiter)
-		return lim
+	h.conns++
+	return h.lim, func() { s.releaseLimiter(host, h) }
+}
+
+// releaseLimiter retires one of host's connections.
+func (s *Server) releaseLimiter(host string, h *hostLimiter) {
+	s.limMu.Lock()
+	defer s.limMu.Unlock()
+	h.conns--
+	if h.conns == 0 && h.lim.Tokens() >= s.burst {
+		delete(s.limiters, host)
 	}
-	lim, err := ratelimit.New(s.rate, s.burst)
-	if err != nil {
-		return nil
+}
+
+// sweepLocked drops every bucket whose host is idle and whose bucket is
+// full. Caller holds limMu.
+func (s *Server) sweepLocked() {
+	for host, h := range s.limiters {
+		if h.conns == 0 && h.lim.Tokens() >= s.burst {
+			delete(s.limiters, host)
+		}
 	}
-	actual, _ := s.limiters.LoadOrStore(host, lim)
-	stored, _ := actual.(*ratelimit.Limiter)
-	return stored
+	s.sweepAt = max(2*len(s.limiters), minLimiterSweep)
 }

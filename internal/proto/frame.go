@@ -15,11 +15,95 @@
 package proto
 
 import (
+	"bufio"
 	"encoding/binary"
 	"io"
 	"net"
 	"sync"
 )
+
+// ConnBufferSize is the one buffer size every connection gets: the
+// servers' bufio reader and writer, and the rpcmux client's reader and
+// small-frame threshold. It bounds what an idle connection pins, not
+// the frame size: a frame larger than the buffer bypasses it on both
+// sides (bufio.Reader reads a body at least its size straight into the
+// body, and every writer sends such a frame vectored).
+const ConnBufferSize = 64 << 10
+
+// FrameWriter is a server's response writer: frames that fit in its
+// ConnBufferSize buffer are coalesced there until Flush, and a larger
+// frame flushes what is buffered and goes out as one vectored write, so
+// its payload is never copied. Not safe for concurrent use.
+type FrameWriter struct {
+	conn io.Writer
+	bw   *bufio.Writer
+}
+
+// NewFrameWriter returns a FrameWriter over conn.
+func NewFrameWriter(conn io.Writer) *FrameWriter {
+	return &FrameWriter{conn: conn, bw: bufio.NewWriterSize(conn, ConnBufferSize)}
+}
+
+// WriteFrame queues one frame.
+func (w *FrameWriter) WriteFrame(t MsgType, id uint64, payload []byte) error {
+	if FrameHeaderSize+len(payload) <= ConnBufferSize {
+		return WriteFrame(w.bw, t, id, payload)
+	}
+	if err := w.bw.Flush(); err != nil {
+		return err
+	}
+	return WriteFrameVectored(w.conn, t, id, payload)
+}
+
+// WriteBlobList queues one frame whose payload is the EncodeBlobList
+// encoding of items, byte for byte. A frame larger than the buffer is
+// sent as one vectored write of the header, the count and length
+// varints and the items themselves, so the items are never copied; the
+// caller must not modify them until WriteBlobList returns.
+func (w *FrameWriter) WriteBlobList(t MsgType, id uint64, items [][]byte) error {
+	size := BlobListSize(items)
+	var header [FrameHeaderSize]byte
+	if err := PutFrameHeader(header[:], t, id, size); err != nil {
+		return err
+	}
+	if FrameHeaderSize+size <= ConnBufferSize {
+		if w.bw.Available() < FrameHeaderSize+size {
+			if err := w.bw.Flush(); err != nil {
+				return err
+			}
+		}
+		frame := append(w.bw.AvailableBuffer(), header[:]...)
+		_, err := w.bw.Write(AppendBlobList(frame, items))
+		return err
+	}
+	if err := w.bw.Flush(); err != nil {
+		return err
+	}
+
+	// The header and every varint go into one pooled buffer before any
+	// part is sliced from it, so the parts stay valid: it does not grow
+	// again.
+	buf := GetBuffer()
+	prefix := binary.AppendUvarint(append((*buf)[:0], header[:]...), uint64(len(items)))
+	for _, it := range items {
+		prefix = binary.AppendUvarint(prefix, uint64(len(it)))
+	}
+	*buf = prefix
+	off := FrameHeaderSize + uvarintLen(uint64(len(items)))
+	parts := make(net.Buffers, 1, 2*len(items)+1)
+	parts[0] = prefix[:off]
+	for _, it := range items {
+		n := uvarintLen(uint64(len(it)))
+		parts = append(parts, prefix[off:off+n], it)
+		off += n
+	}
+	_, err := parts.WriteTo(w.conn)
+	PutBuffer(buf)
+	return err
+}
+
+// Flush writes any buffered frames to the connection.
+func (w *FrameWriter) Flush() error { return w.bw.Flush() }
 
 // FrameHeaderSize is the number of bytes preceding a frame's payload on
 // the wire: the 4-byte length prefix, the type byte, and the request ID.

@@ -238,19 +238,15 @@ func DecodeError(b []byte) (*RemoteError, error) {
 // EncodeBlobList encodes a list of opaque byte strings (key-gen requests
 // and responses both use this shape).
 func EncodeBlobList(items [][]byte) []byte {
-	size := 8
-	for _, it := range items {
-		size += len(it) + 4
-	}
-	w := binenc.NewWriter(size)
-	w.Uvarint(uint64(len(items)))
-	for _, it := range items {
-		w.WriteBytes(it)
-	}
-	return w.Bytes()
+	return AppendBlobList(make([]byte, 0, BlobListSize(items)), items)
 }
 
 // DecodeBlobList decodes EncodeBlobList output. maxItems bounds the list.
+// The items are sub-slices of b, not copies: they alias b for as long as
+// they live, and their capacity ends with the item, so an append to one
+// reallocates instead of overwriting the next. ReadFrame allocates every
+// frame body fresh and never pools it, so items decoded from a body are
+// the caller's to keep.
 func DecodeBlobList(b []byte, maxItems int) ([][]byte, error) {
 	r := binenc.NewReader(b)
 	count, err := r.Uvarint()
@@ -262,11 +258,11 @@ func DecodeBlobList(b []byte, maxItems int) ([][]byte, error) {
 	}
 	items := make([][]byte, 0, count)
 	for i := uint64(0); i < count; i++ {
-		it, err := r.ReadBytesCopy()
+		it, err := r.ReadBytes()
 		if err != nil {
 			return nil, fmt.Errorf("%w: list item %d: %v", ErrBadMessage, i, err)
 		}
-		items = append(items, it)
+		items = append(items, it[:len(it):len(it)])
 	}
 	if !r.Done() {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrBadMessage)

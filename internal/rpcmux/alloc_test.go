@@ -24,7 +24,7 @@ func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 // not allocate in steady state: the assembly buffer comes from the pool
 // and the header/payload coalesce into one Write.
 func TestWriteFrameZeroAlloc(t *testing.T) {
-	c := &Conn{conn: discardConn{}, smallFrame: 64 << 10}
+	c := &Conn{conn: discardConn{}}
 	payload := bytes.Repeat([]byte("q"), 8<<10)
 
 	// Warm the pool so the measured runs hit the steady state.
@@ -47,7 +47,7 @@ func TestWriteFrameZeroAlloc(t *testing.T) {
 func TestWriteFrameLargeUsesVectoredPath(t *testing.T) {
 	var sink bytes.Buffer
 	payload := bytes.Repeat([]byte("L"), 256<<10)
-	c := &Conn{conn: captureConn{w: &sink}, smallFrame: 64 << 10}
+	c := &Conn{conn: captureConn{w: &sink}}
 	if err := c.writeFrame(proto.MsgGetChunksResp, 9, payload); err != nil {
 		t.Fatal(err)
 	}

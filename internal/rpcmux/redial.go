@@ -34,10 +34,8 @@ type DialFunc func() (net.Conn, error)
 // replacement dials that succeeded, Retries counts calls re-issued
 // after a transport failure.
 type Redialer struct {
-	dial     DialFunc
-	readBuf  int
-	writeBuf int
-	policy   retry.Policy
+	dial   DialFunc
+	policy retry.Policy
 
 	mu     sync.Mutex
 	conn   *Conn
@@ -66,19 +64,17 @@ type Instruments struct {
 // NewRedialer wraps an already-established connection (the eager first
 // dial stays with the caller so dial errors surface at construction
 // time) and the dial function used to replace it after faults. The
-// buffer sizes match New; the policy bounds reconnect/retry backoff and
-// is used with its zero-value defaults if unset.
-func NewRedialer(conn net.Conn, dial DialFunc, readBuf, writeBuf int, policy retry.Policy) *Redialer {
+// policy bounds reconnect/retry backoff and is used with its zero-value
+// defaults if unset.
+func NewRedialer(conn net.Conn, dial DialFunc, policy retry.Policy) *Redialer {
 	r := &Redialer{
 		dial:       dial,
-		readBuf:    readBuf,
-		writeBuf:   writeBuf,
 		policy:     policy,
 		reconnects: metrics.NewCounter(),
 		retries:    metrics.NewCounter(),
 	}
 	if conn != nil {
-		r.conn = New(conn, readBuf, writeBuf)
+		r.conn = New(conn)
 	}
 	return r
 }
@@ -125,7 +121,7 @@ func (r *Redialer) acquire() (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpcmux: redial: %w", err)
 	}
-	r.conn = New(raw, r.readBuf, r.writeBuf)
+	r.conn = New(raw)
 	r.reconnects.Inc()
 	return r.conn, nil
 }

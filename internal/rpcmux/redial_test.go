@@ -121,7 +121,7 @@ func newTestRedialer(t *testing.T, s *echoServer) *Redialer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRedialer(first, dial, 0, 0, testPolicy())
+	r := NewRedialer(first, dial, testPolicy())
 	t.Cleanup(func() { _ = r.Close() })
 	return r
 }
@@ -193,7 +193,7 @@ func TestRedialerRetriesDialFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRedialer(first, dial, 0, 0, testPolicy())
+	r := NewRedialer(first, dial, testPolicy())
 	defer r.Close()
 
 	got, err := r.Call(context.Background(), proto.MsgStatsReq, []byte("x"), proto.MsgStatsResp, true)
@@ -216,7 +216,7 @@ func TestRedialerGivesUpAfterAttemptCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRedialer(first, dial, 0, 0, testPolicy())
+	r := NewRedialer(first, dial, testPolicy())
 	defer r.Close()
 
 	start := time.Now()

@@ -61,12 +61,12 @@ type Conn struct {
 	br   *bufio.Reader
 
 	// wmu serializes frame writes; a frame must hit the socket intact.
-	// Frames up to smallFrame bytes are assembled header+payload in a
-	// pooled buffer and written with one syscall; larger frames go out
-	// as a vectored write so the payload is never copied.
-	wmu        sync.Mutex
-	smallFrame int
-	nextID     uint64 // guarded by wmu; IDs start at 1
+	// Frames up to proto.ConnBufferSize bytes are assembled
+	// header+payload in a pooled buffer and written with one syscall;
+	// larger frames go out as a vectored write so the payload is never
+	// copied.
+	wmu    sync.Mutex
+	nextID uint64 // guarded by wmu; IDs start at 1
 
 	// mu guards the demux state below.
 	mu      sync.Mutex
@@ -80,24 +80,15 @@ type Conn struct {
 	doneOnce sync.Once
 }
 
-// New wraps conn in a multiplexer and starts its reader goroutine.
-// readBuf is the bufio reader capacity; writeBuf is the small-frame
-// threshold — frames up to that total size are coalesced into a pooled
-// buffer for a single write, larger ones use a vectored write. Zero
-// means a 64 KiB default for both.
-func New(conn net.Conn, readBuf, writeBuf int) *Conn {
-	if readBuf <= 0 {
-		readBuf = 64 << 10
-	}
-	if writeBuf <= 0 {
-		writeBuf = 64 << 10
-	}
+// New wraps conn in a multiplexer and starts its reader goroutine. The
+// reader buffers proto.ConnBufferSize bytes; a larger response body is
+// read straight into its own allocation, bypassing the buffer.
+func New(conn net.Conn) *Conn {
 	c := &Conn{
-		conn:       conn,
-		br:         bufio.NewReaderSize(conn, readBuf),
-		smallFrame: writeBuf,
-		pending:    make(map[uint64]chan response),
-		done:       make(chan struct{}),
+		conn:    conn,
+		br:      bufio.NewReaderSize(conn, proto.ConnBufferSize),
+		pending: make(map[uint64]chan response),
+		done:    make(chan struct{}),
 	}
 	go c.readLoop()
 	return c
@@ -106,7 +97,7 @@ func New(conn net.Conn, readBuf, writeBuf int) *Conn {
 // writeFrame sends one frame under wmu, picking the small-frame
 // (pooled single write) or large-frame (vectored write) path.
 func (c *Conn) writeFrame(typ proto.MsgType, id uint64, payload []byte) error {
-	if len(payload)+proto.FrameHeaderSize > c.smallFrame {
+	if len(payload)+proto.FrameHeaderSize > proto.ConnBufferSize {
 		return proto.WriteFrameVectored(c.conn, typ, id, payload)
 	}
 	buf := proto.GetBuffer()

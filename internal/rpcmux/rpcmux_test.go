@@ -42,7 +42,7 @@ func newPipePeer(t *testing.T) (*Conn, *fakePeer) {
 			p.reqs <- testFrame{typ: typ, id: id, payload: payload}
 		}
 	}()
-	mux := New(clientEnd, 0, 0)
+	mux := New(clientEnd)
 	t.Cleanup(func() {
 		mux.Close()
 		serverEnd.Close()
@@ -216,7 +216,7 @@ func TestCancelWhileWaitingKeepsConnUsable(t *testing.T) {
 func TestCancelDuringWritePoisonsConn(t *testing.T) {
 	clientEnd, serverEnd := net.Pipe()
 	defer serverEnd.Close()
-	mux := New(clientEnd, 0, 0)
+	mux := New(clientEnd)
 	defer mux.Close()
 
 	// The peer never reads, so the frame write blocks on the pipe until

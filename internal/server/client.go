@@ -70,7 +70,7 @@ func DialStore(ctx context.Context, addr string, dialer Dialer, policy retry.Pol
 		return nil, fmt.Errorf("server client: dial %s: %w", addr, err)
 	}
 	redial := func() (net.Conn, error) { return redialer(addr) }
-	return &Client{mux: rpcmux.NewRedialer(conn, redial, 1<<20, 1<<20, policy)}, nil
+	return &Client{mux: rpcmux.NewRedialer(conn, redial, policy)}, nil
 }
 
 // Close closes the connection.

@@ -51,6 +51,29 @@ func TestServeReturnsErrClosedAfterShutdown(t *testing.T) {
 	}
 }
 
+// TestServeAfterShutdown pins the lost race between Serve's start and
+// Shutdown: Serve on a server already shut down must close the
+// listener it was given and report net.ErrClosed.
+func TestServeAfterShutdown(t *testing.T) {
+	srv, err := New(ctx, store.NewMemory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(ln); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve returned %v, want net.ErrClosed", err)
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("listener still open after Serve on a shut-down server: Accept returned %v", err)
+	}
+}
+
 // TestOneConnectionMixedPlanes drives every RPC plane — chunk puts and
 // gets, blob puts/gets/deletes, listing, stats — from many goroutines
 // over a single multiplexed connection. Every response must match its

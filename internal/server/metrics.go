@@ -60,16 +60,16 @@ func (s *Server) MetricsSnapshot() metrics.Snapshot { return s.reg.Snapshot() }
 // dispatchTimed wraps dispatch with per-op accounting. With no registry
 // attached it is a plain tail call — instrumentation must cost nothing
 // when disabled.
-func (s *Server) dispatchTimed(ctx context.Context, typ proto.MsgType, payload []byte) (proto.MsgType, []byte) {
+func (s *Server) dispatchTimed(ctx context.Context, typ proto.MsgType, payload []byte) reply {
 	if s.ops == nil {
 		return s.dispatch(ctx, typ, payload)
 	}
 	s.inflightReqs.Inc()
 	start := time.Now()
-	respType, respPayload := s.dispatch(ctx, typ, payload)
+	r := s.dispatch(ctx, typ, payload)
 	s.inflightReqs.Dec()
-	s.ops.Observe(int(typ), time.Since(start), respType == proto.MsgError)
-	return respType, respPayload
+	s.ops.Observe(int(typ), time.Since(start), r.typ == proto.MsgError)
+	return r
 }
 
 // metricsResp serves MsgMetricsReq: the registry snapshot as JSON (an

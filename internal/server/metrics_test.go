@@ -35,11 +35,11 @@ func TestNilRegistryAddsNoAllocations(t *testing.T) {
 	directSrv, timedSrv := newProbe(), newProbe()
 	// Warm up so both measurements see the steady dedup-hit path, not
 	// the first-insert path.
-	if typ, _ := directSrv.dispatch(ctx, proto.MsgPutChunksReq, payload); typ != proto.MsgPutChunksResp {
-		t.Fatalf("warmup dispatch returned %v", typ)
+	if r := directSrv.dispatch(ctx, proto.MsgPutChunksReq, payload); r.typ != proto.MsgPutChunksResp {
+		t.Fatalf("warmup dispatch returned %v", r.typ)
 	}
-	if typ, _ := timedSrv.dispatchTimed(ctx, proto.MsgPutChunksReq, payload); typ != proto.MsgPutChunksResp {
-		t.Fatalf("warmup dispatchTimed returned %v", typ)
+	if r := timedSrv.dispatchTimed(ctx, proto.MsgPutChunksReq, payload); r.typ != proto.MsgPutChunksResp {
+		t.Fatalf("warmup dispatchTimed returned %v", r.typ)
 	}
 
 	direct := testing.AllocsPerRun(200, func() {
@@ -67,8 +67,8 @@ func TestInstrumentedDispatchCounts(t *testing.T) {
 		{FP: fingerprint.New(data), Data: data},
 	})
 	for i := 0; i < 3; i++ {
-		if typ, _ := srv.dispatchTimed(ctx, proto.MsgPutChunksReq, payload); typ != proto.MsgPutChunksResp {
-			t.Fatalf("dispatch %d returned %v", i, typ)
+		if r := srv.dispatchTimed(ctx, proto.MsgPutChunksReq, payload); r.typ != proto.MsgPutChunksResp {
+			t.Fatalf("dispatch %d returned %v", i, r.typ)
 		}
 	}
 

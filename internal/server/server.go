@@ -17,7 +17,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -127,11 +126,14 @@ func New(ctx context.Context, backend store.Backend, opts ...Option) (*Server, e
 
 // Serve accepts connections until Shutdown. It always returns a
 // non-nil error; after a clean Shutdown the error is net.ErrClosed.
+// Serve on a server already shut down closes ln at once, so a Shutdown
+// that wins the race with Serve's start still stops the listener.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.shutdown {
 		s.mu.Unlock()
-		return errors.New("server: already shut down")
+		ln.Close()
+		return net.ErrClosed
 	}
 	s.ln = ln
 	s.mu.Unlock()
@@ -204,11 +206,19 @@ func (s *Server) Stats() proto.Stats {
 	}
 }
 
+// reply is one response. GetChunks replies carry the chunk slices in
+// items, written as a blob list without copying them into a payload
+// (proto.FrameWriter.WriteBlobList); every other reply is one payload.
+type reply struct {
+	typ     proto.MsgType
+	payload []byte
+	items   [][]byte
+}
+
 // outFrame is one response queued for a connection's writer goroutine.
 type outFrame struct {
-	typ     proto.MsgType
-	id      uint64
-	payload []byte
+	reply
+	id uint64
 }
 
 // handleConn serves one connection with concurrent dispatch: the read
@@ -229,8 +239,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.connsGauge.Dec()
 	}()
 
-	br := bufio.NewReaderSize(conn, 1<<20)
-	bw := bufio.NewWriterSize(conn, 1<<20)
+	br := bufio.NewReaderSize(conn, proto.ConnBufferSize)
+	fw := proto.NewFrameWriter(conn)
 
 	respCh := make(chan outFrame, s.workers)
 	writerDone := make(chan struct{})
@@ -241,10 +251,15 @@ func (s *Server) handleConn(conn net.Conn) {
 			if werr != nil {
 				continue // drain so handlers never block on a dead writer
 			}
-			if werr = proto.WriteFrame(bw, f.typ, f.id, f.payload); werr == nil && len(respCh) == 0 {
+			if f.items != nil {
+				werr = fw.WriteBlobList(f.typ, f.id, f.items)
+			} else {
+				werr = fw.WriteFrame(f.typ, f.id, f.payload)
+			}
+			if werr == nil && len(respCh) == 0 {
 				// Flush only when no more responses are queued,
 				// coalescing bursts into one syscall.
-				werr = bw.Flush()
+				werr = fw.Flush()
 			}
 			if werr != nil {
 				conn.Close() // unblock the read loop
@@ -266,8 +281,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				<-sem
 				handlers.Done()
 			}()
-			respType, respPayload := s.dispatchTimed(s.baseCtx, typ, payload)
-			respCh <- outFrame{typ: respType, id: id, payload: respPayload}
+			respCh <- outFrame{reply: s.dispatchTimed(s.baseCtx, typ, payload), id: id}
 		}()
 	}
 	handlers.Wait()
@@ -275,12 +289,20 @@ func (s *Server) handleConn(conn net.Conn) {
 	<-writerDone
 }
 
-func (s *Server) dispatch(ctx context.Context, typ proto.MsgType, payload []byte) (proto.MsgType, []byte) {
+// dispatch routes one request to its handler.
+func (s *Server) dispatch(ctx context.Context, typ proto.MsgType, payload []byte) reply {
+	if typ == proto.MsgGetChunksReq {
+		return s.getChunks(ctx, payload)
+	}
+	respType, respPayload := s.handle(ctx, typ, payload)
+	return reply{typ: respType, payload: respPayload}
+}
+
+// handle serves every request whose reply is one payload.
+func (s *Server) handle(ctx context.Context, typ proto.MsgType, payload []byte) (proto.MsgType, []byte) {
 	switch typ {
 	case proto.MsgPutChunksReq:
 		return s.putChunks(ctx, payload)
-	case proto.MsgGetChunksReq:
-		return s.getChunks(ctx, payload)
 	case proto.MsgPutBlobReq:
 		return s.putBlob(ctx, payload)
 	case proto.MsgGetBlobReq:
@@ -342,20 +364,24 @@ func (s *Server) putChunks(ctx context.Context, payload []byte) (proto.MsgType, 
 	return proto.MsgPutChunksResp, proto.EncodePutChunksResp(dups)
 }
 
-func (s *Server) getChunks(ctx context.Context, payload []byte) (proto.MsgType, []byte) {
+// getChunks replies with the slices dedup.Store.Get returned, not a
+// copy of them: sealed-container sub-slices and point-read buffers are
+// immutable, and open-container chunks come back as copies, so the
+// writer may send them after this handler returns.
+func (s *Server) getChunks(ctx context.Context, payload []byte) reply {
 	fps, err := proto.DecodeGetChunksReq(payload)
 	if err != nil {
-		return proto.MsgError, proto.EncodeError(err.Error())
+		return reply{typ: proto.MsgError, payload: proto.EncodeError(err.Error())}
 	}
 	datas := make([][]byte, len(fps))
 	for i, fp := range fps {
 		data, err := s.chunks.Get(ctx, fp)
 		if err != nil {
-			return proto.MsgError, proto.EncodeError(fmt.Sprintf("get chunk %s: %v", fp.Short(), err))
+			return reply{typ: proto.MsgError, payload: proto.EncodeError(fmt.Sprintf("get chunk %s: %v", fp.Short(), err))}
 		}
 		datas[i] = data
 	}
-	return proto.MsgGetChunksResp, proto.EncodeBlobList(datas)
+	return reply{typ: proto.MsgGetChunksResp, items: datas}
 }
 
 func (s *Server) putBlob(ctx context.Context, payload []byte) (proto.MsgType, []byte) {
